@@ -291,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_adversary_sees_the_same_trace_as_single() {
+    fn sharded_adversary_sees_the_same_trace_as_one_engine() {
         use tsearch_search::{ScoringModel, SearchEngine, ShardedEngine};
         use tsearch_text::{Analyzer, Vocabulary};
 

@@ -1,5 +1,5 @@
-//! Microbenchmarks of the multi-tenant service layer: synchronous
-//! private-search throughput vs session count, with and without the
+//! Microbenchmarks of the multi-tenant service layer: private-search
+//! throughput vs session count, with and without the
 //! shared result cache, plus the cache and scheduler in isolation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -8,11 +8,11 @@ use toppriv_bench::Scale;
 use toppriv_service::{CycleScheduler, ResultCache, SessionManager};
 use tsearch_corpus::{generate_workload, BenchmarkQuery, SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine};
+use tsearch_search::{ScoringModel, ShardedEngine};
 use tsearch_text::Analyzer;
 
 struct Stack {
-    engine: Arc<SearchEngine>,
+    engine: Arc<ShardedEngine>,
     model: Arc<LdaModel>,
     queries: Vec<BenchmarkQuery>,
 }
@@ -21,12 +21,13 @@ fn stack() -> Stack {
     let corpus = SyntheticCorpus::generate(Scale::quick().corpus);
     let docs = corpus.token_docs();
     let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let engine = Arc::new(SearchEngine::build(
+    let engine = Arc::new(ShardedEngine::build(
         &docs,
         &texts,
         Analyzer::new(),
         corpus.vocab.clone(),
         ScoringModel::TfIdfCosine,
+        1,
     ));
     let model = Arc::new(LdaTrainer::train(
         &docs,
@@ -50,8 +51,8 @@ fn stack() -> Stack {
     }
 }
 
-/// One full multi-tenant pass: every session runs one synchronous private
-/// search drawn from the shared pool. Measures end-to-end service
+/// One full multi-tenant pass: every session runs one private search
+/// drawn from the shared pool. Measures end-to-end service
 /// throughput (ghost generation + cache/engine resolution).
 fn bench_search_vs_sessions(c: &mut Criterion) {
     let stack = stack();
@@ -115,7 +116,15 @@ fn bench_scheduler_drain(c: &mut Criterion) {
         group.throughput(Throughput::Elements(queue.len() as u64));
         group.bench_function(
             BenchmarkId::from_parameter(if cached { "cached" } else { "uncached" }),
-            |b| b.iter(|| black_box(scheduler.drain(queue.clone()))),
+            |b| {
+                b.iter(|| {
+                    black_box(
+                        scheduler
+                            .try_drain(queue.clone())
+                            .expect("fault-free drain"),
+                    )
+                })
+            },
         );
     }
     group.finish();

@@ -74,7 +74,7 @@ fn timed_drain(scheduler: &CycleScheduler, plans: Vec<Vec<PlannedQuery>>) -> (us
     let queue = CycleScheduler::merge(plans);
     let n = queue.len();
     let t0 = Instant::now();
-    let outcomes = scheduler.drain(queue);
+    let outcomes = scheduler.try_drain(queue).expect("fault-free drain");
     let secs = t0.elapsed().as_secs_f64();
     std::hint::black_box(&outcomes);
     assert_eq!(outcomes.len(), n, "every planned submission must drain");
@@ -259,11 +259,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         ctx.default_model().clone(),
         OnlineEstimatorConfig::default(),
     );
-    let shard_logs = manager_on
-        .tier()
-        .as_sharded()
-        .expect("audit tier is sharded")
-        .shard_logs();
+    let shard_logs = manager_on.tier().shard_logs();
     let s1 = estimator.sample(&shard_logs, &registry);
     let s2 = estimator.sample(&shard_logs, &registry);
     inv.check(

@@ -120,7 +120,7 @@ fn run_fleet(
     let expected: usize = queue.iter().map(|p| p.fanout()).sum();
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
     let t0 = Instant::now();
-    let outcomes = scheduler.drain(queue);
+    let outcomes = scheduler.try_drain(queue).expect("fault-free drain");
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(outcomes.len(), expected, "every subscriber outcome drains");
 
@@ -247,8 +247,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
 
     // --- Adversary: colluding shards attack the 64-on merged logs. -----
     let art = artifacts.expect("64-session planner-on artifacts kept");
-    let tier = art.manager.tier();
-    let shard_logs = tier.as_sharded().expect("sharded tier").shard_logs();
+    let shard_logs = art.manager.tier().shard_logs();
     let merged = merge_shard_logs(&shard_logs);
     let labeled: Vec<(&[u32], usize)> = ctx
         .corpus

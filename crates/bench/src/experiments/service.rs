@@ -20,7 +20,7 @@ use crate::table::{f3, ResultTable};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use toppriv_service::{CycleScheduler, PlannedQuery, SessionManager};
+use toppriv_service::{CycleScheduler, PlannedQuery, SearchTier, SessionManager};
 use tsearch_text::TermId;
 
 /// Scheduler worker threads (matches the `load` experiment's pool).
@@ -34,7 +34,7 @@ pub const MIN_SUBMISSIONS: usize = 2000;
 
 /// Unprotected baseline: raw queries on a bare worker pool (the same
 /// measurement as the `load` experiment's υ=1 row).
-fn replay_unprotected(ctx: &ExperimentContext, queries: &[Vec<TermId>], rounds: usize) -> f64 {
+fn replay_unprotected(tier: &SearchTier, queries: &[Vec<TermId>], rounds: usize) -> f64 {
     let total = queries.len() * rounds;
     let next = AtomicUsize::new(0);
     let t0 = Instant::now();
@@ -45,7 +45,7 @@ fn replay_unprotected(ctx: &ExperimentContext, queries: &[Vec<TermId>], rounds: 
                 if i >= total {
                     break;
                 }
-                let hits = ctx.engine.search_tokens(&queries[i % queries.len()], TOP_K);
+                let hits = tier.search_tokens(&queries[i % queries.len()], TOP_K);
                 std::hint::black_box(hits);
             });
         }
@@ -73,8 +73,13 @@ struct ServiceRun {
 /// Protected run through the service: `SESSIONS` tenants plan paced
 /// cycles over the shared workload; the merged queue is drained `rounds`
 /// times on the scheduler's worker pool.
-fn run_service(ctx: &ExperimentContext, cached: bool, rounds: usize) -> ServiceRun {
-    let mut manager = SessionManager::new(ctx.engine.clone(), ctx.default_model().clone());
+fn run_service(
+    ctx: &ExperimentContext,
+    tier: &SearchTier,
+    cached: bool,
+    rounds: usize,
+) -> ServiceRun {
+    let mut manager = SessionManager::with_tier(tier.clone(), ctx.default_model().clone());
     if cached {
         manager = manager.with_cache(8192);
     }
@@ -100,12 +105,14 @@ fn run_service(ctx: &ExperimentContext, cached: bool, rounds: usize) -> ServiceR
     let queue = CycleScheduler::merge(plans);
     let submissions_per_round = queue.len();
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
-    ctx.engine.clear_query_log();
+    tier.clear_query_logs();
     obsbench::reset_engine_stages();
     let t0 = Instant::now();
     let mut round1: Option<toppriv_service::GlobalMetrics> = None;
     for _ in 0..rounds {
-        let outcomes = scheduler.drain(queue.clone());
+        let outcomes = scheduler
+            .try_drain(queue.clone())
+            .expect("fault-free drain");
         std::hint::black_box(outcomes);
         if round1.is_none() {
             round1 = Some(manager.metrics_registry().snapshot());
@@ -123,7 +130,7 @@ fn run_service(ctx: &ExperimentContext, cached: bool, rounds: usize) -> ServiceR
             if cached { "on" } else { "off" }
         ),
     );
-    ctx.engine.clear_query_log();
+    tier.clear_query_logs();
     ServiceRun {
         mean_upsilon: submissions_per_round as f64 / user_queries as f64,
         submissions: submissions_per_round * rounds,
@@ -156,6 +163,10 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         ],
     );
 
+    // One 1-shard engine serves both the baseline and the service runs
+    // (the context's own engine keeps its query log for other
+    // experiments).
+    let tier = crate::scenarios::sharded_tier(ctx, 1);
     // Unprotected baseline at the same user-query volume.
     let raw: Vec<Vec<TermId>> = ctx
         .sweep_queries()
@@ -166,8 +177,9 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
         .flat_map(|s| raw.iter().cycle().skip(s).take(raw.len()).cloned())
         .collect();
     let base_rounds = MIN_SUBMISSIONS.div_ceil(base_stream.len().max(1));
-    replay_unprotected(ctx, &base_stream, 1); // warm-up
-    let base_secs = replay_unprotected(ctx, &base_stream, base_rounds);
+    replay_unprotected(&tier, &base_stream, 1); // warm-up
+    let base_secs = replay_unprotected(&tier, &base_stream, base_rounds);
+    tier.clear_query_logs();
     let base_user = base_stream.len() * base_rounds;
     let base_user_qps = base_user as f64 / base_secs.max(1e-9);
     table.push_row(vec![
@@ -184,9 +196,9 @@ pub fn run(ctx: &ExperimentContext) -> Vec<ResultTable> {
 
     for cached in [false, true] {
         // Probe one round to size the replay count.
-        let probe = run_service(ctx, cached, 1);
+        let probe = run_service(ctx, &tier, cached, 1);
         let rounds = MIN_SUBMISSIONS.div_ceil((probe.submissions).max(1)).max(1);
-        let run = run_service(ctx, cached, rounds);
+        let run = run_service(ctx, &tier, cached, rounds);
         let user_qps = run.user_queries as f64 / run.secs.max(1e-9);
         if cached {
             // The bench trail records the full-featured configuration.

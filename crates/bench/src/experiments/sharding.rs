@@ -25,7 +25,7 @@ use toppriv_service::{CycleScheduler, PlannedQuery, SearchTier, SessionManager};
 use tsearch_search::{Query, ShardedEngine};
 use tsearch_text::Analyzer;
 
-/// Shard counts swept (1 = the unsharded baseline).
+/// Shard counts swept (1 = one shard holding the whole index).
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Session counts swept.
 pub const SESSION_COUNTS: [usize; 3] = [1, 8, 64];
@@ -150,11 +150,15 @@ fn run_cell(
         Arc::new(toppriv_service::ServiceMetrics::new()),
         WORKERS,
     );
-    std::hint::black_box(warmup.drain(queue.clone()));
+    std::hint::black_box(warmup.try_drain(queue.clone()).expect("fault-free drain"));
     obsbench::reset_engine_stages();
     let t0 = Instant::now();
     for _ in 0..rounds {
-        std::hint::black_box(scheduler.drain(queue.clone()));
+        std::hint::black_box(
+            scheduler
+                .try_drain(queue.clone())
+                .expect("fault-free drain"),
+        );
     }
     let secs = t0.elapsed().as_secs_f64();
     tier.clear_query_logs();
@@ -191,11 +195,7 @@ fn scaling_table(ctx: &ExperimentContext) -> ResultTable {
     );
     let mut last_bench: Option<toppriv_obs::BenchSnapshot> = None;
     for &shards in &SHARD_COUNTS {
-        let tier: SearchTier = if shards == 1 {
-            SearchTier::Single(ctx.engine.clone())
-        } else {
-            SearchTier::Sharded(sharded_engine(ctx, shards))
-        };
+        let tier = SearchTier::Sharded(sharded_engine(ctx, shards));
         for &sessions in &SESSION_COUNTS {
             let (qps, p99, queue_len, bench) = run_cell(ctx, tier.clone(), shards, sessions);
             table.push_row(vec![

@@ -118,9 +118,8 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
             .expect("spill session state");
     }
     let tier = manager.tier();
-    let engine = tier.as_sharded().expect("scenario tier is sharded");
-    let shard_count = engine.num_shards();
-    for (s, log) in engine.shard_logs().iter().enumerate() {
+    let shard_count = tier.num_shards();
+    for (s, log) in tier.shard_logs().iter().enumerate() {
         std::fs::write(
             spill_dir.join(format!("shardlog_{s}.bin")),
             seal_query_log(log),
@@ -217,7 +216,7 @@ pub fn run(ctx: &ExperimentContext) -> ScenarioReport {
     for q in &merged {
         tier.search_tokens(&q.tokens, TOP_K);
     }
-    let logs_b = tier.as_sharded().expect("sharded").shard_logs();
+    let logs_b = tier.shard_logs();
     let replay_ok = logs_equal(&logs_a, &logs_b);
     inv.check(
         "replay_reproduces_log",

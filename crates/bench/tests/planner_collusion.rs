@@ -115,8 +115,7 @@ fn planner_sharing_preserves_per_session_privacy_at_scale() {
     // the engine once (or zero times, if cached) yet drains one outcome
     // per subscriber — the extra subscribers are counted as cache hits,
     // so the coverage identity must still close exactly.
-    let tier = art.manager.tier();
-    let shard_logs = tier.as_sharded().expect("sharded tier").shard_logs();
+    let shard_logs = art.manager.tier().shard_logs();
     let merged = merge_shard_logs(&shard_logs);
     let cache_hits = art
         .manager

@@ -83,8 +83,7 @@ fn colluding_shards_stay_within_epsilon_bounds_at_scale() {
 
     // The colluding shards reassemble the global trace; every drained
     // submission must be visible in the merged view.
-    let tier = art.manager.tier();
-    let shard_logs = tier.as_sharded().expect("sharded tier").shard_logs();
+    let shard_logs = art.manager.tier().shard_logs();
     let merged = merge_shard_logs(&shard_logs);
     // Cache-served submissions never reach the engine (the cache is
     // itself a fleet-level suppressor); everything else must be visible.

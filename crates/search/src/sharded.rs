@@ -165,36 +165,6 @@ impl ShardedEngine {
         hits
     }
 
-    /// Scatter step: the partial (unnormalized) score contributions of
-    /// shard `shard_id`'s terms, as its worker pool would compute them.
-    pub fn shard_partials(&self, shard_id: usize, query: &Query) -> HashMap<u32, f64> {
-        let t0 = Instant::now();
-        let mut partials = HashMap::new();
-        self.accumulate_shard(shard_id, query, &mut partials);
-        self.shard_eval_us[shard_id].record(t0.elapsed().as_micros() as u64);
-        partials
-    }
-
-    /// Gather step: merges per-shard partials (summing per document) and
-    /// ranks the best `k`. `partials` may come in any order — addition of
-    /// disjoint-term contributions is the merge.
-    pub fn merge_partials(
-        &self,
-        partials: impl IntoIterator<Item = HashMap<u32, f64>>,
-        k: usize,
-    ) -> Vec<SearchHit> {
-        let t0 = Instant::now();
-        let mut accumulators: HashMap<u32, f64> = HashMap::new();
-        for partial in partials {
-            for (doc_id, score) in partial {
-                *accumulators.entry(doc_id).or_insert(0.0) += score;
-            }
-        }
-        let hits = self.rank(accumulators, k);
-        self.gather_us.record(t0.elapsed().as_micros() as u64);
-        hits
-    }
-
     /// Accumulates shard `shard_id`'s contribution for `query` into
     /// `accumulators`, iterating the shard's terms in ascending term
     /// order through the same [`crate::engine::accumulate_term`] inner
@@ -393,24 +363,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn scatter_gather_equals_direct_evaluation() {
-        let (_, sharded) = engines(ScoringModel::TfIdfCosine, 4);
-        let query = Query::parse("apache market shares", sharded.analyzer(), sharded.vocab());
-        let direct = sharded.evaluate(&query, 10);
-        let partials: Vec<_> = sharded
-            .shard_set(&query.term_ids())
-            .into_iter()
-            .map(|s| sharded.shard_partials(s, &query))
-            .collect();
-        let merged = sharded.merge_partials(partials, 10);
-        assert_eq!(direct.len(), merged.len());
-        for (a, b) in direct.iter().zip(&merged) {
-            assert_eq!(a.doc_id, b.doc_id);
-            assert!((a.score - b.score).abs() < 1e-12);
         }
     }
 

@@ -6,8 +6,8 @@
 //! runtime check that runs alongside serving, the privacy-system
 //! analogue of continuous SLO monitoring:
 //!
-//! - **register** — [`crate::SessionManager::plan_cycle_with_report`] (and the
-//!   synchronous search path) registers every formulated cycle's
+//! - **register** — [`crate::SessionManager::plan_cycle_with_report`]
+//!   (which every search goes through) registers every formulated cycle's
 //!   privacy facts (exposure, mask level, ε2, trace exposure) while the
 //!   session lock is held, and updates the per-tenant gauges
 //!   (`tenant_worst_exposure`, `tenant_trace_exposure`,
@@ -29,11 +29,11 @@
 //!   serves `AuditTail`.
 //!
 //! The injection hook [`PrivacyAuditor::rig_cycle`] overwrites a
-//! registered cycle's facts with a rigged mask schedule — the
-//! chaos-testing counterpart of
-//! [`crate::CycleScheduler::with_worker_fault`] — so tests and the
+//! registered cycle's facts with a rigged mask schedule, so tests and the
 //! `audit` bench experiment can prove an ε2 breach is surfaced within
-//! one drain without building a deliberately broken ghost generator.
+//! one drain without building a deliberately broken ghost generator. It
+//! is the audit plane's own hook: no [`crate::FaultKind`] forges audit
+//! facts, so the [`crate::FaultPlane`] does not replace it.
 
 use crate::fault::{FaultKind, FaultPlane};
 use std::collections::HashMap;
@@ -218,9 +218,14 @@ impl PrivacyAuditor {
         self.cycles_audited.load(Ordering::Relaxed)
     }
 
+    /// Registered cycle facts still waiting for a drain to audit and
+    /// prune them.
+    pub fn pending_cycles(&self) -> usize {
+        recover_lock(&self.pending).values().map(HashMap::len).sum()
+    }
+
     /// Registers one formulated cycle's privacy facts and refreshes the
-    /// tenant's gauges. Called by the session manager at plan/search
-    /// time (while it still holds the ground truth); the facts wait in
+    /// tenant's gauges. Called by the session manager at plan time (while it still holds the ground truth); the facts wait in
     /// the pending set until a drain worker audits them.
     pub fn register_cycle(
         &self,
@@ -276,42 +281,9 @@ impl PrivacyAuditor {
         tenant.gauge_burn.set(tenant.burn_cycles());
     }
 
-    /// Registers **and immediately audits** one cycle — the synchronous
-    /// search path resolves its cycle inline, so there is no later drain
-    /// to call [`PrivacyAuditor::on_outcome`]; the fact is pruned right
-    /// away.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_cycle(
-        &self,
-        session: &str,
-        cycle_id: usize,
-        metrics: &PrivacyMetrics,
-        eps2: f64,
-        trace_exposure: f64,
-        worst_exposure: f64,
-    ) {
-        self.register_cycle(
-            session,
-            cycle_id,
-            metrics,
-            eps2,
-            trace_exposure,
-            worst_exposure,
-        );
-        self.on_outcome(session, cycle_id);
-        let mut pending = recover_lock(&self.pending);
-        if let Some(by_cycle) = pending.get_mut(session) {
-            by_cycle.remove(&cycle_id);
-            if by_cycle.is_empty() {
-                pending.remove(session);
-            }
-        }
-    }
-
     /// Chaos hook: overwrites (or inserts) a registered cycle's facts
     /// with a rigged mask schedule, so the next drain must surface an
-    /// ε2 breach. Counterpart of
-    /// [`crate::CycleScheduler::with_worker_fault`].
+    /// ε2 breach.
     pub fn rig_cycle(&self, session: &str, cycle_id: usize, exposure: f64, mask_level: f64) {
         let eps2 = recover_lock(&self.tenants)
             .get(session)

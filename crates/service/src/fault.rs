@@ -1,18 +1,19 @@
 //! The fleet fault plane: seeded, deterministic fault injection.
 //!
-//! PR 7/8 grew ad-hoc chaos hooks one at a time —
-//! [`crate::CycleScheduler::with_worker_fault`] panicked drain workers,
-//! [`crate::PrivacyAuditor::rig_cycle`] forged audit facts — each with
-//! its own wiring and its own notion of "when". [`FaultPlane`] subsumes
-//! them behind one API: a set of [`FaultSpec`]s, each naming a
-//! [`FaultKind`], a firing rate, and optional scoping (one shard, a
-//! fire budget, a stall duration, a legacy submission predicate). The
-//! plane is threaded through the scheduler (worker panics, shard
+//! [`FaultPlane`] is the one infrastructure fault-injection API: a set
+//! of [`FaultSpec`]s, each naming a [`FaultKind`], a firing rate, and
+//! optional scoping (one shard, a fire budget, a stall duration, a
+//! submission predicate). The plane is threaded through the scheduler (worker panics, shard
 //! stalls, cache poisoning), the auditor and persist layer (store
 //! write/read errors on journal and session spills), and the session
 //! manager (transient model-swap failure) — the same object, consulted
 //! at every layer, so one seed reproduces one fleet-wide fault
 //! schedule.
+//!
+//! The plane injects infrastructure faults only. No [`FaultKind`] forges
+//! audit facts, so the audit plane keeps its own hook,
+//! [`crate::PrivacyAuditor::rig_cycle`], for proving that an ε2 breach
+//! is journaled.
 //!
 //! ## Determinism
 //!
@@ -109,9 +110,8 @@ pub const ALL_FAULT_KINDS: [FaultKind; 6] = [
     FaultKind::ModelSwapFail,
 ];
 
-/// Legacy submission predicate (the old
-/// [`crate::CycleScheduler::with_worker_fault`] hook): a submission it
-/// selects fires the spec unconditionally, on every attempt.
+/// Submission predicate: a submission it selects fires the spec
+/// unconditionally, on every attempt.
 pub type SubmissionPredicate = Arc<dyn Fn(&PlannedQuery) -> bool + Send + Sync>;
 
 /// One scheduled fault: what fires, how often, and where.
@@ -128,8 +128,8 @@ pub struct FaultSpec {
     pub max_fires: u64,
     /// [`FaultKind::ShardStall`] duration in milliseconds.
     pub stall_ms: u64,
-    /// Legacy predicate: when set, the spec fires exactly for the
-    /// submissions it selects (rate/key hashing is bypassed).
+    /// Predicate: when set, the spec fires exactly for the submissions
+    /// it selects (rate/key hashing is bypassed).
     pub predicate: Option<SubmissionPredicate>,
 }
 
@@ -168,8 +168,8 @@ impl FaultSpec {
         }
     }
 
-    /// A predicate spec (the legacy `with_worker_fault` semantics):
-    /// fires exactly for the submissions `predicate` selects.
+    /// A predicate spec: fires exactly for the submissions `predicate`
+    /// selects, on every attempt (a doomed submission never heals).
     pub fn predicate(kind: FaultKind, predicate: SubmissionPredicate) -> Self {
         FaultSpec {
             predicate: Some(predicate),

@@ -2,7 +2,7 @@
 //!
 //! The multi-tenant private-search service layer: runs many TopPriv
 //! client sessions concurrently against **one** shared `LdaModel` and
-//! `SearchEngine`.
+//! term-sharded `ShardedEngine`.
 //!
 //! The paper's TopPriv (Figure 1) is a single-user client module; the
 //! production question it leaves open is the server-side cost of decoy
@@ -13,10 +13,11 @@
 //! - **shared models** ([`SessionManager`]): the ~140 MB LDA model and
 //!   the search tier exist once, behind `Arc`s; per-tenant state is just
 //!   a `GhostGenerator`, a `SessionTracker`, and a `PacingScheduler`;
-//! - **a term-sharded search tier** ([`SearchTier`]): the same service
-//!   stack runs over one `SearchEngine` or a `ShardedEngine` whose
-//!   postings are split across N term-hash shards, each with its own
-//!   bounded query log — no engine-wide mutex on the submission path;
+//! - **a term-sharded search tier** ([`SearchTier`]): the service runs
+//!   over a `ShardedEngine` whose postings are split across N term-hash
+//!   shards (N = 1 ranks identically to a `SearchEngine`), each with its
+//!   own bounded query log — no engine-wide mutex on the submission
+//!   path;
 //! - **a global cycle scheduler** ([`CycleScheduler`]): per-session
 //!   pacing schedules are merged into one time-ordered queue, then
 //!   partitioned into per-shard queues drained independently by a
@@ -31,8 +32,9 @@
 //! (exposure, mask level, satisfied rate, trace exposure). Since PR 6
 //! all of it lives in a `toppriv_obs::MetricsRegistry` — lock-free
 //! counters/gauges plus log-linear HDR histograms — and the request
-//! lifecycle is traced (`plan_cycle`/`search` spans, scheduler `drain`
-//! with per-shard children). The `toppriv-serve` binary exposes
+//! lifecycle is traced (`search`/`plan_cycle` spans, scheduler `drain`
+//! with per-shard children). Every search is a planned cycle drained by
+//! the scheduler, so retries, rollback and auditing cover it. The `toppriv-serve` binary exposes
 //! everything over newline-delimited JSON (stdin or TCP; `MetricsNdjson`
 //! and `MetricsProm` dump the registry) and ships a synthetic
 //! multi-tenant demo (`--demo`, sharded with `--shards N`).
@@ -42,7 +44,7 @@
 //! ```no_run
 //! use std::sync::Arc;
 //! use toppriv_service::SessionManager;
-//! # let engine: Arc<tsearch_search::SearchEngine> = unimplemented!();
+//! # let engine: Arc<tsearch_search::ShardedEngine> = unimplemented!();
 //! # let model: Arc<tsearch_lda::LdaModel> = unimplemented!();
 //!
 //! let manager = SessionManager::new(engine, model).with_cache(4096);

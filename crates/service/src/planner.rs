@@ -419,12 +419,12 @@ mod tests {
     use std::collections::HashMap;
     use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
     use tsearch_lda::{LdaConfig, LdaTrainer};
-    use tsearch_search::{ScoringModel, SearchEngine};
+    use tsearch_search::{ScoringModel, ShardedEngine};
     use tsearch_text::Analyzer;
 
     struct Stack {
         corpus: SyntheticCorpus,
-        engine: Arc<SearchEngine>,
+        engine: Arc<ShardedEngine>,
         model: Arc<tsearch_lda::LdaModel>,
     }
 
@@ -437,12 +437,13 @@ mod tests {
         });
         let docs = corpus.token_docs();
         let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-        let engine = Arc::new(SearchEngine::build(
+        let engine = Arc::new(ShardedEngine::build(
             &docs,
             &texts,
             Analyzer::new(),
             corpus.vocab.clone(),
             ScoringModel::TfIdfCosine,
+            1,
         ));
         let model = Arc::new(LdaTrainer::train(
             &docs,
@@ -545,7 +546,9 @@ mod tests {
                 );
             }
         }
-        let base_outcomes = CycleScheduler::for_manager(&baseline, 4).run(plans);
+        let base_outcomes = CycleScheduler::for_manager(&baseline, 4)
+            .try_drain(CycleScheduler::merge(plans))
+            .expect("baseline drain");
         // Planned: same workload through the planner.
         let planner = GhostPlanner::new(planned.clone());
         for s in 0..SESSIONS {
@@ -559,8 +562,9 @@ mod tests {
                     .unwrap();
             }
         }
-        let plan_outcomes =
-            CycleScheduler::for_manager(&planned, 4).run(vec![planner.take_queue()]);
+        let plan_outcomes = CycleScheduler::for_manager(&planned, 4)
+            .try_drain(planner.take_queue())
+            .expect("planned drain");
         // Same fleet seed → same genuine members → identical hits per
         // (session, cycle): sharing decoys must not change what any
         // tenant's genuine queries return.
@@ -626,7 +630,9 @@ mod tests {
             }
         }
         assert!(!planner.topic_weights().is_empty());
-        let outcomes = CycleScheduler::for_manager(&manager, 4).run(vec![planner.take_queue()]);
+        let outcomes = CycleScheduler::for_manager(&manager, 4)
+            .try_drain(planner.take_queue())
+            .expect("drain");
         assert!(!outcomes.is_empty());
         // Per-tenant accounting saw every member of every cycle.
         let snapshot = manager.metrics();

@@ -22,7 +22,9 @@
 //! wait** (drain start → claim) and **service time** (resolution) into
 //! [`M_QUEUE_WAIT_US`] / [`M_SERVICE_US`] histograms, counts per-shard
 //! submissions in [`M_SHARD_SUBMITS`], and journals a `drain` span with
-//! one `drain_shard` child per worker into the global tracer.
+//! one `drain_shard` child per (worker, shard) into the global tracer.
+//! [`crate::SessionManager::search`] is a one-worker drain of one cycle,
+//! run on the caller's thread.
 
 use crate::cache::ResultCache;
 use crate::fault::{FaultKind, FaultPlane};
@@ -34,7 +36,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use toppriv_core::ScheduledQuery;
-use toppriv_obs::{recover_lock, AuditSeverity};
+use toppriv_obs::{recover_lock, AuditSeverity, Counter, Gauge, HistogramHandle, Span};
 use tsearch_search::SearchHit;
 
 /// Metric name: per-shard queue wait (claim time − drain start, µs).
@@ -117,7 +119,7 @@ pub struct PlannedQuery {
     /// Results to fetch.
     pub k: usize,
     /// Sorted shard set the submission's terms route to (`[0]` on a
-    /// single-engine tier). The scheduler queues the submission on its
+    /// 1-shard tier). The scheduler queues the submission on its
     /// primary — lowest — shard.
     pub shards: Vec<usize>,
     /// All subscribing tenants when the planner coalesced this entry
@@ -263,10 +265,34 @@ pub struct ResilientReport {
     pub rounds: usize,
 }
 
-/// Fault-injection predicate: a submission it returns `true` for makes
-/// its worker panic (test/chaos harness hook, see
-/// [`CycleScheduler::with_worker_fault`]).
-pub type WorkerFault = Arc<dyn Fn(&PlannedQuery) -> bool + Send + Sync>;
+/// One shard's slice of a drain: its queue (indices into the merged
+/// queue, in time order), claim cursor, collected outcomes, and metric
+/// handles fetched once up front — workers then publish with plain
+/// atomic ops, so nothing on the drain hot path locks a registry.
+struct Lane {
+    queue: Vec<usize>,
+    cursor: AtomicUsize,
+    collected: Mutex<Vec<(usize, SubmitOutcome)>>,
+    depth: Gauge,
+    wait: HistogramHandle,
+    service: HistogramHandle,
+    submits: Counter,
+    retries: Counter,
+}
+
+/// The state every worker of one drain shares; the collector consumes
+/// it once the workers are done.
+struct DrainRun {
+    queue: Vec<PlannedQuery>,
+    /// Indexed by shard.
+    lanes: Vec<Lane>,
+    /// Entries not yet taken off the queue (the global depth gauge).
+    remaining: AtomicUsize,
+    /// Terminal failures with the queue index of the failed entry, in
+    /// claim order per shard.
+    failures: Mutex<Vec<(usize, ShardFailure)>>,
+    start: Instant,
+}
 
 /// Merges per-session plans and drains them on per-shard worker queues.
 pub struct CycleScheduler {
@@ -274,9 +300,6 @@ pub struct CycleScheduler {
     cache: Option<Arc<ResultCache>>,
     metrics: Arc<ServiceMetrics>,
     workers: usize,
-    /// Chaos hook: submissions this predicate selects panic their
-    /// worker mid-resolve, exercising the failure-surfacing path.
-    worker_fault: Option<WorkerFault>,
     /// The deterministic fault plane, when attached: worker panics and
     /// shard stalls are drawn from its seeded schedule per (submission,
     /// attempt), so retries flip fresh coins and rate faults heal.
@@ -298,8 +321,9 @@ pub struct CycleScheduler {
 
 impl CycleScheduler {
     /// A scheduler over explicit parts. `workers` is the total pool size,
-    /// spread across the tier's shards at drain time (each active shard
-    /// always gets at least one worker).
+    /// spread across the tier's shards at drain time: each active shard
+    /// always gets at least one worker, except that a pool of one worker
+    /// serves every active shard itself, on the draining thread.
     pub fn new(
         tier: SearchTier,
         cache: Option<Arc<ResultCache>>,
@@ -311,7 +335,6 @@ impl CycleScheduler {
             cache,
             metrics,
             workers: workers.max(1),
-            worker_fault: None,
             fault: None,
             policy: DrainPolicy::default(),
             quarantine: Mutex::new(HashMap::new()),
@@ -361,16 +384,6 @@ impl CycleScheduler {
         self
     }
 
-    /// Installs a fault-injection predicate: any submission it selects
-    /// makes its worker panic mid-resolve. This is the chaos-testing
-    /// hook the scenario harness and the drain-failure tests use to
-    /// prove panics surface as [`DrainError`]s instead of silently
-    /// dropping a shard's outcomes.
-    pub fn with_worker_fault(mut self, fault: WorkerFault) -> Self {
-        self.worker_fault = Some(fault);
-        self
-    }
-
     /// A scheduler sharing a [`SessionManager`]'s search tier, cache,
     /// metrics registry, auditor, and fault plane.
     pub fn for_manager(manager: &SessionManager, workers: usize) -> Self {
@@ -409,36 +422,21 @@ impl CycleScheduler {
     /// cache/tier, so shards drain independently. Returns outcomes sorted
     /// by simulated time (ties broken by merged-queue position).
     ///
-    /// A worker panic aborts the whole drain **loudly**: this wrapper
-    /// panics with the shard/session of the first failure. Scenario
-    /// harnesses that need to keep running use
-    /// [`CycleScheduler::try_drain`], which returns the failure as a
-    /// structured [`DrainError`] instead. (Before this existed, a panic
-    /// in a shard's worker silently dropped that shard's collected
-    /// outcomes while `std::thread::scope` re-raised on join — the
-    /// partial trace was lost and the failure site was anonymous.)
-    pub fn drain(&self, queue: Vec<PlannedQuery>) -> Vec<SubmitOutcome> {
-        match self.try_drain(queue) {
-            Ok(outcomes) => outcomes,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`CycleScheduler::drain`] with structured failure reporting:
-    /// worker panics are caught per submission and retried with bounded
+    /// Worker panics are caught per submission and retried with bounded
     /// exponential backoff (each attempt flips a fresh deterministic
     /// fault coin, so transient rate faults heal), the rest of the queue
-    /// keeps draining under the per-drain deadline watchdog, and the
-    /// error carries every terminal failure (shard, session, panic
-    /// message) plus the outcomes that did complete and the entries that
-    /// were never attempted.
+    /// keeps draining under the per-drain deadline watchdog, and a drain
+    /// that did not resolve everything returns a [`DrainError`] carrying
+    /// every terminal failure (shard, session, panic message) plus the
+    /// outcomes that did complete and the entries that were never
+    /// attempted. [`CycleScheduler::drain_resilient`] turns those into
+    /// retries and cycle rollbacks.
     pub fn try_drain(&self, queue: Vec<PlannedQuery>) -> Result<Vec<SubmitOutcome>, DrainError> {
-        let total = queue.len();
         // Shared (planner-coalesced) entries resolve once but produce one
         // outcome per subscribing tenant; a drain succeeds when every
         // expected per-tenant outcome materialized.
         let expected: usize = queue.iter().map(|p| p.fanout()).sum();
-        self.metrics.set_queue_depth(total);
+        self.metrics.set_queue_depth(queue.len());
         let num_shards = self.tier.num_shards();
         let drain_span = toppriv_obs::tracer().span("drain");
         let epoch = self.drain_epoch.fetch_add(1, Ordering::SeqCst) + 1;
@@ -454,266 +452,281 @@ impl CycleScheduler {
         // Partition by primary shard; each per-shard queue stays in the
         // merged (time) order.
         let mut shard_queues: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        let mut skipped_idx: Vec<usize> = Vec::new();
+        let mut skipped: Vec<usize> = Vec::new();
         for (i, plan) in queue.iter().enumerate() {
             let shard = plan.primary_shard().min(num_shards - 1);
             if quarantined.contains(&shard) {
-                skipped_idx.push(i);
+                skipped.push(i);
             } else {
                 shard_queues[shard].push(i);
             }
         }
-        // Per-shard handles, fetched once up front: depth gauges, wait /
-        // service histograms, and submit counters. Workers then publish
-        // with plain atomic ops — nothing on the drain hot path locks.
         let registry = self.metrics.registry();
         let depth_gauges = self.metrics.shard_depth_gauges(num_shards);
-        let wait_hists: Vec<_> = (0..num_shards)
-            .map(|s| registry.histogram(M_QUEUE_WAIT_US, &[("shard", &s.to_string())]))
+        let lanes: Vec<Lane> = shard_queues
+            .into_iter()
+            .zip(depth_gauges)
+            .enumerate()
+            .map(|(s, (lane_queue, depth))| {
+                let shard = s.to_string();
+                let labels = [("shard", shard.as_str())];
+                depth.set(lane_queue.len() as i64);
+                Lane {
+                    cursor: AtomicUsize::new(0),
+                    collected: Mutex::new(Vec::with_capacity(lane_queue.len())),
+                    queue: lane_queue,
+                    depth,
+                    wait: registry.histogram(M_QUEUE_WAIT_US, &labels),
+                    service: registry.histogram(M_SERVICE_US, &labels),
+                    submits: registry.counter(M_SHARD_SUBMITS, &labels),
+                    retries: registry.counter(M_SHARD_RETRIES, &labels),
+                }
+            })
             .collect();
-        let service_hists: Vec<_> = (0..num_shards)
-            .map(|s| registry.histogram(M_SERVICE_US, &[("shard", &s.to_string())]))
-            .collect();
-        let submit_counters: Vec<_> = (0..num_shards)
-            .map(|s| registry.counter(M_SHARD_SUBMITS, &[("shard", &s.to_string())]))
-            .collect();
-        let retry_counters: Vec<_> = (0..num_shards)
-            .map(|s| registry.counter(M_SHARD_RETRIES, &[("shard", &s.to_string())]))
-            .collect();
-        for (s, gauge) in depth_gauges.iter().enumerate() {
-            gauge.set(shard_queues[s].len() as i64);
-        }
+        let run = DrainRun {
+            remaining: AtomicUsize::new(queue.len()),
+            queue,
+            lanes,
+            failures: Mutex::new(Vec::new()),
+            start: Instant::now(),
+        };
         let active: Vec<usize> = (0..num_shards)
-            .filter(|&s| !shard_queues[s].is_empty())
+            .filter(|&s| !run.lanes[s].queue.is_empty())
             .collect();
         // Spread the pool over the active shards: every active shard
         // gets at least one worker, and the remainder (workers not
         // evenly divisible) goes one-per-shard to the first shards so
-        // the whole configured pool is used.
-        let base = self.workers / active.len().max(1);
-        let extra = self.workers % active.len().max(1);
-        let remaining = AtomicUsize::new(total);
-        let cursors: Vec<AtomicUsize> = (0..num_shards).map(|_| AtomicUsize::new(0)).collect();
-        let collectors: Vec<Mutex<Vec<(usize, SubmitOutcome)>>> = (0..num_shards)
-            .map(|s| Mutex::new(Vec::with_capacity(shard_queues[s].len())))
-            .collect();
-        let failures: Mutex<Vec<ShardFailure>> = Mutex::new(Vec::new());
-        let failed_idx: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let deadline = self.policy.deadline;
-        let queue = &queue;
-        let drain_start = Instant::now();
-        std::thread::scope(|scope| {
-            for (rank, &s) in active.iter().enumerate() {
-                let per_shard = (base + usize::from(rank < extra)).max(1);
-                for _ in 0..per_shard.min(shard_queues[s].len()) {
-                    let shard_queue = &shard_queues[s];
-                    let cursor = &cursors[s];
-                    let collector = &collectors[s];
-                    let failures = &failures;
-                    let failed_idx = &failed_idx;
-                    let remaining = &remaining;
-                    let depth_gauge = &depth_gauges[s];
-                    let wait_hist = &wait_hists[s];
-                    let service_hist = &service_hists[s];
-                    let submit_counter = &submit_counters[s];
-                    let retry_counter = &retry_counters[s];
-                    let drain_span = &drain_span;
-                    scope.spawn(move || {
-                        let shard_span = drain_span.child("drain_shard");
-                        loop {
-                            // Cooperative deadline watchdog: a worker
-                            // past the drain deadline stops claiming —
-                            // the unclaimed remainder comes back as
-                            // `unresolved` instead of blocking forever.
-                            if drain_start.elapsed() > deadline {
-                                break;
-                            }
-                            let at = cursor.fetch_add(1, Ordering::Relaxed);
-                            if at >= shard_queue.len() {
-                                break;
-                            }
-                            wait_hist.record(drain_start.elapsed().as_micros() as u64);
-                            let i = shard_queue[at];
-                            let plan = &queue[i];
-                            let tags = plan.subscriber_tags();
-                            let t0 = Instant::now();
-                            // Resolution runs under catch_unwind so one
-                            // poisoned submission cannot anonymously take
-                            // the whole shard's collected outcomes with
-                            // it: a panic is retried with bounded
-                            // exponential backoff (a fresh fault coin per
-                            // attempt), recorded once per submission when
-                            // terminal, and the worker moves on.
-                            let mut attempt = 0u32;
-                            let resolved = loop {
-                                let once =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        if let Some(fault) = &self.worker_fault {
-                                            assert!(
-                                                !fault(plan),
-                                                "injected worker fault (session '{}')",
-                                                plan.session
-                                            );
-                                        }
-                                        if let Some(plane) = &self.fault {
-                                            if let Some(stall) = plane.stall_for(s, plan, attempt) {
-                                                // An injected stall sleeps in
-                                                // small slices so the deadline
-                                                // can preempt it: a stall that
-                                                // outlives the drain deadline
-                                                // panics into the failure path
-                                                // instead of hanging the shard.
-                                                let mut left = stall;
-                                                while !left.is_zero() {
-                                                    let slice = left.min(Duration::from_millis(1));
-                                                    std::thread::sleep(slice);
-                                                    left -= slice;
-                                                    assert!(
-                                                        drain_start.elapsed() <= deadline,
-                                                        "injected shard stall exceeded the \
-                                                         drain deadline (session '{}')",
-                                                        plan.session
-                                                    );
-                                                }
-                                            }
-                                            assert!(
-                                                !plane.fires_submission(
-                                                    FaultKind::WorkerPanic,
-                                                    s,
-                                                    plan,
-                                                    attempt
-                                                ),
-                                                "injected worker_panic fault (session '{}')",
-                                                plan.session
-                                            );
-                                        }
-                                        SessionManager::resolve_shared(
-                                            &self.tier,
-                                            self.cache.as_deref(),
-                                            &self.metrics,
-                                            &plan.scheduled.tokens,
-                                            plan.k,
-                                            &tags,
-                                        )
-                                    }));
-                                match once {
-                                    Ok(r) => break Ok(r),
-                                    Err(payload) => {
-                                        attempt += 1;
-                                        if attempt >= self.policy.max_attempts
-                                            || drain_start.elapsed() > deadline
-                                        {
-                                            break Err(payload);
-                                        }
-                                        retry_counter.inc();
-                                        let backoff = self
-                                            .policy
-                                            .backoff_base
-                                            .saturating_mul(1u32 << (attempt - 1).min(16))
-                                            .min(self.policy.backoff_cap);
-                                        std::thread::sleep(backoff);
-                                    }
-                                }
-                            };
-                            // Depth accounting covers failed submissions
-                            // too — they left the queue either way.
-                            depth_gauge.add(-1);
-                            let left = remaining.fetch_sub(1, Ordering::Relaxed) - 1;
-                            self.metrics.set_queue_depth(left);
-                            let (hits, cache_hit) = match resolved {
-                                Ok(r) => r,
-                                Err(payload) => {
-                                    let message = payload
-                                        .downcast_ref::<&str>()
-                                        .map(|s| s.to_string())
-                                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "non-string panic payload".into());
-                                    recover_lock(failures).push(ShardFailure {
-                                        shard: s,
-                                        session: plan.session.clone(),
-                                        cycle_id: plan.scheduled.cycle_id,
-                                        attempts: attempt,
-                                        message,
-                                    });
-                                    recover_lock(failed_idx).push(i);
-                                    continue;
-                                }
-                            };
-                            // The service-time histogram keeps this
-                            // worker's span id as the bucket's trace
-                            // exemplar, so a p99 outlier links straight
-                            // to its `drain_shard` span.
-                            service_hist.record_with_exemplar(
-                                t0.elapsed().as_micros() as u64,
-                                shard_span.id(),
-                            );
-                            submit_counter.inc();
-                            // One resolution fans out into one outcome —
-                            // and one audit fact — per subscribing tenant.
-                            // Subscribers beyond the first were served
-                            // from the shared resolution, which is a
-                            // cache hit from their point of view.
-                            for (j, tag) in tags.iter().enumerate() {
-                                if let Some(auditor) = &self.auditor {
-                                    auditor.on_outcome(&tag.session, tag.cycle_id);
-                                }
-                                let outcome = SubmitOutcome {
-                                    session: tag.session.clone(),
-                                    cycle_id: tag.cycle_id,
-                                    time_secs: plan.scheduled.time_secs,
-                                    is_genuine: tag.is_genuine,
-                                    cache_hit: cache_hit || j > 0,
-                                    // Ghost results are discarded inside the
-                                    // trusted boundary; only genuine hits leave
-                                    // the scheduler.
-                                    hits: if tag.is_genuine {
-                                        hits.clone()
-                                    } else {
-                                        Vec::new()
-                                    },
-                                };
-                                recover_lock(collector).push((i, outcome));
-                            }
-                        }
-                    });
+        // the whole configured pool is used. A pool of one worker serves
+        // every active shard in turn instead.
+        let assignments: Vec<Vec<usize>> = if self.workers == 1 {
+            vec![active]
+        } else {
+            let base = self.workers / active.len().max(1);
+            let extra = self.workers % active.len().max(1);
+            active
+                .iter()
+                .enumerate()
+                .flat_map(|(rank, &s)| {
+                    let per_shard = (base + usize::from(rank < extra)).max(1);
+                    std::iter::repeat_n(vec![s], per_shard.min(run.lanes[s].queue.len()))
+                })
+                .collect()
+        };
+        match assignments.as_slice() {
+            // A lone worker runs on the calling thread: it is the same
+            // worker, minus a thread spawn on every small drain.
+            [lanes] => self.work(&run, lanes, &drain_span),
+            _ => std::thread::scope(|scope| {
+                for lanes in &assignments {
+                    let (run, drain_span) = (&run, &drain_span);
+                    scope.spawn(move || self.work(run, lanes, drain_span));
+                }
+            }),
+        }
+        self.collect(run, epoch, skipped, expected)
+    }
+
+    /// One drain worker: serves `lanes` in turn, claiming each lane's
+    /// entries from its cursor until the lane is exhausted. Past the
+    /// drain deadline it stops claiming altogether — the unclaimed
+    /// remainder comes back as `unresolved` instead of blocking forever.
+    fn work(&self, run: &DrainRun, lanes: &[usize], drain_span: &Span<'_>) {
+        for &s in lanes {
+            let lane = &run.lanes[s];
+            let shard_span = drain_span.child("drain_shard");
+            loop {
+                if run.start.elapsed() > self.policy.deadline {
+                    return;
+                }
+                let at = lane.cursor.fetch_add(1, Ordering::Relaxed);
+                if at >= lane.queue.len() {
+                    break;
+                }
+                lane.wait.record(run.start.elapsed().as_micros() as u64);
+                let i = lane.queue[at];
+                let plan = &run.queue[i];
+                let tags = plan.subscriber_tags();
+                let t0 = Instant::now();
+                let resolved = self.resolve_with_retry(s, plan, &tags, run.start, &lane.retries);
+                // Depth accounting covers failed submissions too — they
+                // left the queue either way.
+                lane.depth.add(-1);
+                let left = run.remaining.fetch_sub(1, Ordering::Relaxed) - 1;
+                self.metrics.set_queue_depth(left);
+                let (hits, cache_hit) = match resolved {
+                    Ok(r) => r,
+                    Err((message, attempts)) => {
+                        let failure = ShardFailure {
+                            shard: s,
+                            session: plan.session.clone(),
+                            cycle_id: plan.scheduled.cycle_id,
+                            attempts,
+                            message,
+                        };
+                        recover_lock(&run.failures).push((i, failure));
+                        continue;
+                    }
+                };
+                // The service-time histogram keeps this worker's span id
+                // as the bucket's trace exemplar, so a p99 outlier links
+                // straight to its `drain_shard` span.
+                lane.service
+                    .record_with_exemplar(t0.elapsed().as_micros() as u64, shard_span.id());
+                lane.submits.inc();
+                // One resolution fans out into one outcome — and one audit
+                // fact — per subscribing tenant. Subscribers beyond the
+                // first were served from the shared resolution, which is a
+                // cache hit from their point of view.
+                for (j, tag) in tags.into_iter().enumerate() {
+                    if let Some(auditor) = &self.auditor {
+                        auditor.on_outcome(&tag.session, tag.cycle_id);
+                    }
+                    let outcome = SubmitOutcome {
+                        // Ghost results are discarded inside the trusted
+                        // boundary; only genuine hits leave the scheduler.
+                        hits: if tag.is_genuine {
+                            hits.clone()
+                        } else {
+                            Vec::new()
+                        },
+                        session: tag.session,
+                        cycle_id: tag.cycle_id,
+                        time_secs: plan.scheduled.time_secs,
+                        is_genuine: tag.is_genuine,
+                        cache_hit: cache_hit || j > 0,
+                    };
+                    recover_lock(&lane.collected).push((i, outcome));
                 }
             }
-        });
+        }
+    }
+
+    /// Resolves one entry under `catch_unwind`, so one poisoned
+    /// submission cannot anonymously take the whole shard's collected
+    /// outcomes with it: a panic is retried with bounded exponential
+    /// backoff (a fresh fault coin per attempt) until the attempt budget
+    /// or the drain deadline runs out. Returns the resolution, or the
+    /// terminal panic message with the attempts made.
+    fn resolve_with_retry(
+        &self,
+        shard: usize,
+        plan: &PlannedQuery,
+        tags: &[SubmissionTag],
+        start: Instant,
+        retries: &Counter,
+    ) -> Result<(Vec<SearchHit>, bool), (String, u32)> {
+        let mut attempt = 0u32;
+        loop {
+            let once = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.inject_faults(shard, plan, attempt, start);
+                SessionManager::resolve_shared(
+                    &self.tier,
+                    self.cache.as_deref(),
+                    &self.metrics,
+                    &plan.scheduled.tokens,
+                    plan.k,
+                    tags,
+                )
+            }));
+            let payload = match once {
+                Ok(r) => return Ok(r),
+                Err(payload) => payload,
+            };
+            attempt += 1;
+            if attempt >= self.policy.max_attempts || start.elapsed() > self.policy.deadline {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                return Err((message, attempt));
+            }
+            retries.inc();
+            let backoff = self
+                .policy
+                .backoff_base
+                .saturating_mul(1u32 << (attempt - 1).min(16))
+                .min(self.policy.backoff_cap);
+            std::thread::sleep(backoff);
+        }
+    }
+
+    /// Consults the fault plane before one resolution attempt: an
+    /// injected stall sleeps, an injected worker panic panics.
+    fn inject_faults(&self, shard: usize, plan: &PlannedQuery, attempt: u32, start: Instant) {
+        let Some(plane) = &self.fault else {
+            return;
+        };
+        if let Some(stall) = plane.stall_for(shard, plan, attempt) {
+            // An injected stall sleeps in small slices so the deadline can
+            // preempt it: a stall that outlives the drain deadline panics
+            // into the failure path instead of hanging the shard.
+            let mut left = stall;
+            while !left.is_zero() {
+                let slice = left.min(Duration::from_millis(1));
+                std::thread::sleep(slice);
+                left -= slice;
+                assert!(
+                    start.elapsed() <= self.policy.deadline,
+                    "injected shard stall exceeded the drain deadline (session '{}')",
+                    plan.session
+                );
+            }
+        }
+        assert!(
+            !plane.fires_submission(FaultKind::WorkerPanic, shard, plan, attempt),
+            "injected worker_panic fault (session '{}')",
+            plan.session
+        );
+    }
+
+    /// Drain epilogue: gathers the workers' outcomes in queue order,
+    /// hands failed and never-claimed entries back, quarantines shards
+    /// that failed too often, and journals a degraded drain.
+    fn collect(
+        &self,
+        run: DrainRun,
+        epoch: u64,
+        skipped: Vec<usize>,
+        expected: usize,
+    ) -> Result<Vec<SubmitOutcome>, DrainError> {
         self.metrics.set_queue_depth(0);
-        for gauge in &depth_gauges {
-            gauge.set(0);
+        for lane in &run.lanes {
+            lane.depth.set(0);
         }
         if let Some(auditor) = &self.auditor {
             auditor.finish_drain();
         }
-        let mut outcomes: Vec<(usize, SubmitOutcome)> = collectors
-            .into_iter()
-            .flat_map(|c| recover_lock(&c).drain(..).collect::<Vec<_>>())
-            .collect();
+        let mut outcomes: Vec<(usize, SubmitOutcome)> = Vec::new();
+        // Entries past a lane cursor's final position were never claimed
+        // (the deadline watchdog cut the drain short): together with the
+        // quarantine-skipped entries they form the unresolved remainder
+        // handed back for a later drain.
+        let mut unresolved_idx: HashSet<usize> = skipped.iter().copied().collect();
+        for lane in run.lanes {
+            let claimed = lane.cursor.load(Ordering::Relaxed).min(lane.queue.len());
+            unresolved_idx.extend(lane.queue[claimed..].iter().copied());
+            outcomes.extend(
+                lane.collected
+                    .into_inner()
+                    .unwrap_or_else(|p| p.into_inner()),
+            );
+        }
         outcomes.sort_by_key(|&(i, _)| i);
         let completed: Vec<SubmitOutcome> = outcomes.into_iter().map(|(_, o)| o).collect();
-        let failures = failures.into_inner().unwrap_or_else(|p| p.into_inner());
-        // Entries past a shard cursor's final position were never
-        // claimed (the deadline watchdog cut the drain short): together
-        // with the quarantine-skipped entries they form the unresolved
-        // remainder handed back for a later drain.
-        let mut unresolved_idx: HashSet<usize> = skipped_idx.iter().copied().collect();
-        for (s, shard_queue) in shard_queues.iter().enumerate() {
-            let claimed = cursors[s].load(Ordering::Relaxed).min(shard_queue.len());
-            unresolved_idx.extend(shard_queue[claimed..].iter().copied());
-        }
-        let failed_idx: HashSet<usize> = failed_idx
+        let (failed_idx, failures): (HashSet<usize>, Vec<ShardFailure>) = run
+            .failures
             .into_inner()
             .unwrap_or_else(|p| p.into_inner())
             .into_iter()
-            .collect();
+            .unzip();
         let mut failed = Vec::with_capacity(failed_idx.len());
         let mut unresolved = Vec::with_capacity(unresolved_idx.len());
-        for (i, plan) in queue.iter().enumerate() {
+        for (i, plan) in run.queue.into_iter().enumerate() {
             if failed_idx.contains(&i) {
-                failed.push(plan.clone());
+                failed.push(plan);
             } else if unresolved_idx.contains(&i) {
-                unresolved.push(plan.clone());
+                unresolved.push(plan);
             }
         }
         // Quarantine bookkeeping happens strictly *after* the drain so a
@@ -752,7 +765,7 @@ impl CycleScheduler {
                         "drain {epoch} degraded: {} entries unresolved ({} quarantine-skipped), \
                          surviving shards kept serving",
                         unresolved.len(),
-                        skipped_idx.len()
+                        skipped.len()
                     ),
                 );
             }
@@ -768,16 +781,6 @@ impl CycleScheduler {
                 expected,
             })
         }
-    }
-
-    /// Convenience: merge then drain.
-    pub fn run(&self, plans: Vec<Vec<PlannedQuery>>) -> Vec<SubmitOutcome> {
-        self.drain(Self::merge(plans))
-    }
-
-    /// Convenience: merge then [`CycleScheduler::try_drain`].
-    pub fn try_run(&self, plans: Vec<Vec<PlannedQuery>>) -> Result<Vec<SubmitOutcome>, DrainError> {
-        self.try_drain(Self::merge(plans))
     }
 
     /// Self-healing drain: [`CycleScheduler::try_drain`] in rounds, with

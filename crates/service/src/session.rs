@@ -1,10 +1,10 @@
 //! Multi-tenant session management.
 //!
 //! One [`SessionManager`] serves many users against a single shared
-//! [`LdaModel`] and one [`SearchTier`] (a monolithic engine or a
-//! term-sharded one — both behind `Arc`s, so the paper's ~140 MB model
-//! exists once in memory, not once per tenant). Each session owns the
-//! per-user state of the paper's Figure 1 client:
+//! [`LdaModel`] and one term-sharded [`SearchTier`] (both behind `Arc`s,
+//! so the paper's ~140 MB model exists once in memory, not once per
+//! tenant). Each session owns the per-user state of the paper's Figure 1
+//! client:
 //!
 //! - a [`GhostGenerator`] (over the shared belief model) that formulates
 //!   and certifies cycles;
@@ -13,11 +13,12 @@
 //! - a [`PacingScheduler`] with a per-session seed and clock, producing
 //!   the submission schedule the [`crate::CycleScheduler`] merges.
 //!
-//! Two submission paths exist: [`SessionManager::search`] resolves a
-//! cycle synchronously (through the shared [`ResultCache`]), while
-//! [`SessionManager::plan_cycle`] emits a paced schedule — each planned
-//! submission tagged with the shard set its terms route to — for the
-//! global cycle scheduler to drain on its per-shard worker queues.
+//! Every cycle takes one submission path: [`SessionManager::plan_cycle`]
+//! emits a paced schedule — each planned submission tagged with the shard
+//! set its terms route to — and a [`CycleScheduler`] drains it on its
+//! per-shard worker queues, through the shared [`ResultCache`].
+//! [`SessionManager::search`] is that path for one request: it plans the
+//! cycle, drains it resiliently, and returns the genuine hits.
 //!
 //! ## The fleet secret ghost seed
 //!
@@ -50,7 +51,7 @@
 use crate::cache::ResultCache;
 use crate::fault::{FaultKind, FaultPlane};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics, SessionMetrics};
-use crate::scheduler::{PlannedQuery, SubmissionTag};
+use crate::scheduler::{CycleScheduler, PlannedQuery, SubmissionTag};
 use crate::tier::SearchTier;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
@@ -62,7 +63,7 @@ use toppriv_core::{
     PrivacyRequirement, SessionTracker,
 };
 use tsearch_lda::LdaModel;
-use tsearch_search::{SearchEngine, SearchHit, ShardedEngine};
+use tsearch_search::{SearchHit, ShardedEngine};
 use tsearch_text::TermId;
 
 /// Per-session configuration.
@@ -124,7 +125,7 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Outcome of one synchronous private search.
+/// Outcome of one private search.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// The genuine query's hits (ghost results are discarded).
@@ -279,15 +280,12 @@ impl TraceAccounting {
     }
 }
 
-/// One journaled in-flight (or sync-confirmed) cycle: everything needed
-/// to replay its accounting fold, plus what a rollback caller needs to
-/// replan it.
+/// One journaled in-flight cycle: everything needed to replay its
+/// accounting fold, plus what a rollback caller needs to replan it.
 #[derive(Debug, Clone)]
 struct CycleRecord {
-    /// The pacer cycle id its planned submissions carry (`None` for the
-    /// synchronous search path, which resolves inline and can never be
-    /// half-delivered).
-    cycle_id: Option<usize>,
+    /// The pacer cycle id its planned submissions carry.
+    cycle_id: usize,
     /// The genuine user tokens, for replanning after a rollback.
     user_tokens: Vec<TermId>,
     report: CycleResult,
@@ -295,6 +293,14 @@ struct CycleRecord {
     k: usize,
     confirmed: bool,
 }
+
+/// Drain workers behind one [`SessionManager::search`]. A one-worker
+/// drain runs on the calling thread and serves every shard the cycle
+/// touches, so a search pays no thread spawn. Measured on the
+/// `interactive` benchmark (2-vCPU VM) against resolving the cycle in
+/// place without a drain: one spawned worker per touched shard cost
+/// +15% p50, one spawned worker +10%, the inline worker +0.9%.
+const SEARCH_DRAIN_WORKERS: usize = 1;
 
 /// In-flight journal cap: past this many unconfirmed cycles the oldest
 /// is force-confirmed (callers that never confirm — every pre-fault-
@@ -438,17 +444,14 @@ impl Session {
     /// session's trace exactly as an owned decoy would.
     ///
     /// `cycle_id` ties the record to its paced submissions so a drain
-    /// failure can [`Session::rollback`] it; `confirmed` cycles (the
-    /// synchronous path, which can never be half-delivered) skip the
-    /// rollback window entirely.
+    /// failure can [`Session::rollback`] it until it is confirmed.
     fn account(
         &mut self,
         result: &CycleResult,
         posteriors: &[Vec<f64>],
-        cycle_id: Option<usize>,
+        cycle_id: usize,
         user_tokens: &[TermId],
         k: usize,
-        confirmed: bool,
     ) {
         let record = CycleRecord {
             cycle_id,
@@ -456,7 +459,7 @@ impl Session {
             report: result.clone(),
             posteriors: posteriors.to_vec(),
             k,
-            confirmed,
+            confirmed: false,
         };
         let num_topics = self.generator.belief().num_topics();
         self.acc
@@ -473,7 +476,7 @@ impl Session {
     /// before it is confirmed too).
     fn confirm(&mut self, cycle_id: usize) {
         for record in &mut self.inflight {
-            if record.cycle_id == Some(cycle_id) {
+            if record.cycle_id == cycle_id {
                 record.confirmed = true;
                 break;
             }
@@ -491,7 +494,7 @@ impl Session {
         let pos = self
             .inflight
             .iter()
-            .position(|r| r.cycle_id == Some(cycle_id) && !r.confirmed)?;
+            .position(|r| r.cycle_id == cycle_id && !r.confirmed)?;
         let record = self.inflight.remove(pos);
         let num_topics = self.generator.belief().num_topics();
         let mut acc = self.base.clone();
@@ -500,14 +503,6 @@ impl Session {
         }
         self.acc = acc;
         Some(record)
-    }
-
-    /// Formulates (and records) one cycle for `tokens` (synchronous
-    /// path: resolved inline, so it is born confirmed).
-    fn formulate(&mut self, tokens: &[TermId]) -> CycleResult {
-        let (result, posteriors) = self.generate(tokens);
-        self.account(&result, &posteriors, None, tokens, 0, true);
-        result
     }
 
     fn metrics(&self, id: &str) -> SessionMetrics {
@@ -551,7 +546,7 @@ impl Session {
 /// ```no_run
 /// use std::sync::Arc;
 /// use toppriv_service::SessionManager;
-/// # let engine: Arc<tsearch_search::SearchEngine> = unimplemented!();
+/// # let engine: Arc<tsearch_search::ShardedEngine> = unimplemented!();
 /// # let model: Arc<tsearch_lda::LdaModel> = unimplemented!();
 ///
 /// // One shared engine + model, a 4096-entry decoy cache, and a fixed
@@ -585,19 +580,15 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// A manager over a shared single engine and model, no result cache,
-    /// and a randomly drawn fleet secret ghost seed.
-    pub fn new(engine: Arc<SearchEngine>, model: Arc<LdaModel>) -> Self {
-        Self::with_tier(SearchTier::Single(engine), model)
-    }
-
-    /// A manager over a term-sharded engine (queries fan out to their
-    /// shard sets; the scheduler drains shards independently).
-    pub fn new_sharded(engine: Arc<ShardedEngine>, model: Arc<LdaModel>) -> Self {
+    /// A manager over a shared term-sharded engine and model (queries
+    /// fan out to their shard sets; the scheduler drains shards
+    /// independently), no result cache, and a randomly drawn fleet secret
+    /// ghost seed.
+    pub fn new(engine: Arc<ShardedEngine>, model: Arc<LdaModel>) -> Self {
         Self::with_tier(SearchTier::Sharded(engine), model)
     }
 
-    /// A manager over an explicit search tier.
+    /// A manager over a search-tier handle (see [`SessionManager::new`]).
     pub fn with_tier(tier: SearchTier, model: Arc<LdaModel>) -> Self {
         SessionManager {
             tier: RwLock::new(tier),
@@ -690,9 +681,9 @@ impl SessionManager {
         self
     }
 
-    /// The search tier (single engine or shards) at this instant. The
-    /// returned handle is a cheap clone (`Arc`s inside); it keeps
-    /// serving even if the manager swaps tiers afterwards.
+    /// The search tier at this instant. The returned handle is a cheap
+    /// clone (an `Arc` inside); it keeps serving even if the manager
+    /// swaps tiers afterwards.
     pub fn tier(&self) -> SearchTier {
         self.tier.read().expect("tier lock poisoned").clone()
     }
@@ -837,33 +828,13 @@ impl SessionManager {
         }
     }
 
-    /// Resolves one cycle member through the cache (when attached) or the
-    /// search tier, recording submit metrics. Returns `(hits, cache_hit)`.
-    pub(crate) fn resolve(
-        tier: &SearchTier,
-        cache: Option<&ResultCache>,
-        metrics: &ServiceMetrics,
-        tokens: &[TermId],
-        k: usize,
-        is_genuine: bool,
-    ) -> (Vec<SearchHit>, bool) {
-        let t0 = Instant::now();
-        let (hits, cache_hit) = match cache {
-            Some(cache) => cache.get_or_compute(tokens, k, || tier.search_tokens(tokens, k)),
-            None => (tier.search_tokens(tokens, k), false),
-        };
-        metrics.record_engine_submission();
-        metrics.record_submit(t0.elapsed().as_micros() as u64, cache_hit, is_genuine);
-        (hits, cache_hit)
-    }
-
-    /// Fan-out variant of [`SessionManager::resolve`] for a submission
-    /// shared by several subscribing tenants (a planner-coalesced queue
-    /// entry): the cache/tier is consulted **once** — one engine
-    /// submission — and per-tenant submit metrics are recorded for every
-    /// tag. Subscribers beyond the first are served from the shared
-    /// resolution, which is a cache hit from their point of view (see
-    /// [`ResultCache::get_or_compute_shared`]).
+    /// Resolves one queue entry through the cache (when attached) or the
+    /// search tier — one engine submission however many tenants subscribe
+    /// to it (a planner-coalesced entry) — and records per-tenant submit
+    /// metrics for every tag. Subscribers beyond the first are served
+    /// from the shared resolution, which is a cache hit from their point
+    /// of view (see [`ResultCache::get_or_compute_shared`]). Returns the
+    /// first subscriber's `(hits, cache_hit)`.
     pub(crate) fn resolve_shared(
         tier: &SearchTier,
         cache: Option<&ResultCache>,
@@ -872,10 +843,6 @@ impl SessionManager {
         k: usize,
         tags: &[SubmissionTag],
     ) -> (Vec<SearchHit>, bool) {
-        if tags.len() <= 1 {
-            let is_genuine = tags.first().is_some_and(|t| t.is_genuine);
-            return Self::resolve(tier, cache, metrics, tokens, k, is_genuine);
-        }
         let t0 = Instant::now();
         let (hits, cache_hit) = match cache {
             Some(cache) => {
@@ -896,9 +863,14 @@ impl SessionManager {
         (hits, cache_hit)
     }
 
-    /// Synchronous private search: formulates the cycle, resolves every
-    /// member in (shuffled) cycle order, discards ghost results, and
-    /// returns the genuine hits plus the privacy report.
+    /// Private search: plans the cycle like [`SessionManager::plan_cycle`]
+    /// (formulate, certify, pace, account, register with the audit
+    /// plane), drains it with [`CycleScheduler::drain_resilient`] —
+    /// retries, deadline watchdog, rollback, one replan — and returns the
+    /// genuine hits of the delivered cycle plus its privacy report. Ghost
+    /// results are discarded inside the drain. A cycle the drain could
+    /// not deliver has been rolled back bit-exactly, and the search fails
+    /// with [`ServiceError::Unavailable`] (safe to retry).
     ///
     /// `k == 0` is a sentinel meaning "the session's configured `top_k`".
     pub fn search(&self, id: &str, text: &str, k: usize) -> Result<SearchOutcome, ServiceError> {
@@ -915,60 +887,28 @@ impl SessionManager {
         tokens: &[TermId],
         k: usize,
     ) -> Result<SearchOutcome, ServiceError> {
-        // Session existence first: an unknown tenant should hear that, not
-        // a complaint about its query text.
-        let session = self.session(id)?;
-        if tokens.is_empty() {
-            return Err(ServiceError::BadRequest(
-                "query analyzed to zero tokens".into(),
-            ));
-        }
-        let span = toppriv_obs::tracer().span("search");
-        let tier = self.tier();
-        let mut session = session.lock().expect("session poisoned");
-        self.refresh_session(&mut session);
-        let k = if k == 0 { session.config.top_k } else { k };
-        let report = {
-            let _formulate = span.child("formulate");
-            session.formulate(tokens)
-        };
-        if let Some(auditor) = &self.auditor {
-            // The synchronous path has no drain to audit it later:
-            // register and audit the cycle right here, under the
-            // session lock, keyed by the session's own cycle counter.
-            let m = session.metrics(id);
-            auditor.observe_cycle(
-                id,
-                (session.acc.cycles - 1) as usize,
-                &report.metrics,
-                session.config.requirement.eps2,
-                m.trace_exposure,
-                m.worst_exposure,
-            );
-        }
-        let mut genuine_hits = Vec::new();
-        let mut cache_hits = 0usize;
-        let resolve_span = span.child("resolve");
-        for query in &report.cycle {
-            let (hits, was_hit) = Self::resolve(
-                &tier,
-                self.cache.as_deref(),
-                &self.metrics,
-                &query.tokens,
-                k,
-                query.is_genuine,
-            );
-            if was_hit {
-                cache_hits += 1;
-            }
-            if query.is_genuine {
-                genuine_hits = hits;
-            }
-            // Ghost results are dropped on the floor (Figure 1, step 4).
-        }
-        drop(resolve_span);
+        let _span = toppriv_obs::tracer().span("search");
+        // A replan after a rollback regenerates the same members (ghost
+        // generation is content-seeded and the rollback restored the
+        // accounting bit-exactly), so unless the model is swapped in
+        // between, this report describes whichever incarnation the drain
+        // delivers.
+        let (report, plan) = self.plan_cycle_with_report(id, tokens, k)?;
+        let delivered = CycleScheduler::for_manager(self, SEARCH_DRAIN_WORKERS)
+            .drain_resilient(self, plan)
+            .outcomes;
+        let cache_hits = delivered.iter().filter(|o| o.cache_hit).count();
+        let hits = delivered
+            .into_iter()
+            .find(|o| o.is_genuine)
+            .map(|o| o.hits)
+            .ok_or_else(|| {
+                ServiceError::Unavailable(format!(
+                    "the cycle for '{id}' could not be delivered and was rolled back"
+                ))
+            })?;
         Ok(SearchOutcome {
-            hits: genuine_hits,
+            hits,
             report,
             cache_hits,
         })
@@ -1034,34 +974,25 @@ impl SessionManager {
     ) -> (CycleResult, Vec<PlannedQuery>) {
         let start = session.clock_secs;
         session.clock_secs += session.config.think_time_secs;
-        // Schedule first so the pacer's cycle id is known when the
-        // cycle's accounting record is journaled — that id is the handle
-        // [`SessionManager::rollback_cycle`] reverses the debits by.
+        // The pacer's cycle id is the handle the accounting record is
+        // journaled under: [`SessionManager::rollback_cycle`] reverses
+        // the debits by it.
+        let cycle_id = session.pacer.next_cycle_id();
         let schedule = session.pacer.schedule(&report, start);
-        let cycle_id = schedule.first().map(|s| s.cycle_id);
-        session.account(
-            &report,
-            posteriors,
-            cycle_id,
-            user_tokens,
-            k,
-            cycle_id.is_none(),
-        );
+        session.account(&report, posteriors, cycle_id, user_tokens, k);
         if let Some(auditor) = &self.auditor {
-            if let Some(cycle_id) = cycle_id {
-                // Register the cycle's privacy facts while the ground
-                // truth is in hand; the scheduler's drain workers audit
-                // them via `PrivacyAuditor::on_outcome`.
-                let m = session.metrics(id);
-                auditor.register_cycle(
-                    id,
-                    cycle_id,
-                    &report.metrics,
-                    session.config.requirement.eps2,
-                    m.trace_exposure,
-                    m.worst_exposure,
-                );
-            }
+            // Register the cycle's privacy facts while the ground truth
+            // is in hand; the scheduler's drain workers audit them via
+            // `PrivacyAuditor::on_outcome`.
+            let m = session.metrics(id);
+            auditor.register_cycle(
+                id,
+                cycle_id,
+                &report.metrics,
+                session.config.requirement.eps2,
+                m.trace_exposure,
+                m.worst_exposure,
+            );
         }
         let plan = schedule
             .into_iter()

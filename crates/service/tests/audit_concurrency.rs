@@ -61,7 +61,7 @@ fn stack() -> Stack {
 }
 
 fn audited_manager(stack: &Stack) -> Arc<SessionManager> {
-    let manager = SessionManager::new_sharded(stack.engine.clone(), stack.model.clone())
+    let manager = SessionManager::new(stack.engine.clone(), stack.model.clone())
         .with_cache(2048)
         .with_fleet_seed(7)
         .with_auditor(AuditConfig::default());
@@ -118,7 +118,9 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
     auditor.rig_cycle(&rigged.session, rigged.scheduled.cycle_id, 0.5, 0.0);
 
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
-    let outcomes = scheduler.run(plans);
+    let outcomes = scheduler
+        .try_drain(CycleScheduler::merge(plans))
+        .expect("drain");
     assert_eq!(outcomes.len(), expected, "every submission drained");
 
     // Exactly one breach in the journal, attributed to the rigged cycle.
@@ -159,7 +161,9 @@ fn rigged_breach_emits_exactly_once_across_drain_workers() {
     // A later clean drain must not re-emit the pruned rigged cycle.
     let more = plan_wave(&manager, &stack, 1, 5);
     let expected: usize = more.iter().map(|p| p.len()).sum();
-    let outcomes = scheduler.run(more);
+    let outcomes = scheduler
+        .try_drain(CycleScheduler::merge(more))
+        .expect("drain");
     assert_eq!(outcomes.len(), expected);
     assert_eq!(auditor.log().breaches(), 1, "breach not re-emitted");
     assert_eq!(
@@ -178,7 +182,9 @@ fn tenant_gauges_mirror_exposure_accounting_in_micro_units() {
 
     let plans = plan_wave(&manager, &stack, 2, 0);
     let scheduler = CycleScheduler::for_manager(&manager, WORKERS);
-    scheduler.run(plans);
+    scheduler
+        .try_drain(CycleScheduler::merge(plans))
+        .expect("drain");
 
     let eps2 = toppriv_core::PrivacyRequirement::paper_default().eps2;
     let snapshot = manager.metrics();

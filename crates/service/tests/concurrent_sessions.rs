@@ -9,12 +9,12 @@ use std::sync::Arc;
 use toppriv_service::{CycleScheduler, ResultCache, SessionManager};
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine, ShardedEngine};
+use tsearch_search::{ScoringModel, ShardedEngine};
 use tsearch_text::Analyzer;
 
 struct Stack {
     corpus: SyntheticCorpus,
-    engine: Arc<SearchEngine>,
+    engine: Arc<ShardedEngine>,
     model: Arc<LdaModel>,
 }
 
@@ -28,12 +28,13 @@ fn stack() -> Stack {
     });
     let docs = corpus.token_docs();
     let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let engine = Arc::new(SearchEngine::build(
+    let engine = Arc::new(ShardedEngine::build(
         &docs,
         &texts,
         Analyzer::new(),
         corpus.vocab.clone(),
         ScoringModel::TfIdfCosine,
+        1,
     ));
     let model = Arc::new(LdaTrainer::train(
         &docs,
@@ -176,7 +177,9 @@ fn paced_schedules_merge_and_drain_in_time_order() {
     }
     let expected: usize = plans.iter().map(|p| p.len()).sum();
     let scheduler = CycleScheduler::for_manager(&manager, 4);
-    let outcomes = scheduler.run(plans);
+    let outcomes = scheduler
+        .try_drain(CycleScheduler::merge(plans))
+        .expect("drain");
     assert_eq!(outcomes.len(), expected, "every submission drained");
     // Global time order (the adversary-visible trace order).
     assert!(
@@ -199,7 +202,7 @@ fn paced_schedules_merge_and_drain_in_time_order() {
     assert!(manager.metrics().global.max_queue_depth >= expected);
 }
 
-/// A sharded engine over the same corpus as `stack()`'s single engine.
+/// A sharded engine over the same corpus as `stack()`'s 1-shard engine.
 fn sharded_engine(stack: &Stack, shards: usize) -> Arc<ShardedEngine> {
     let docs = stack.corpus.token_docs();
     let texts: Vec<String> = stack.corpus.docs.iter().map(|d| d.text.clone()).collect();
@@ -225,22 +228,21 @@ fn sharded_tier_returns_identical_results_and_drains_per_shard() {
     );
     // Same fleet seed on both managers so their ghost cycles (and thus
     // their submission streams) are identical.
-    let single = Arc::new(
+    let one_shard = Arc::new(
         SessionManager::new(stack.engine.clone(), stack.model.clone()).with_fleet_seed(42),
     );
     let sharded = Arc::new(
-        SessionManager::new_sharded(sharded_engine(&stack, 4), stack.model.clone())
-            .with_fleet_seed(42),
+        SessionManager::new(sharded_engine(&stack, 4), stack.model.clone()).with_fleet_seed(42),
     );
-    for manager in [&single, &sharded] {
+    for manager in [&one_shard, &sharded] {
         for s in 0..3 {
             manager.open_session(&format!("t{s}")).unwrap();
         }
     }
-    // Synchronous path: identical genuine hits.
+    // Search path: 1 shard and 4 shards return identical genuine hits.
     for (s, q) in queries.iter().enumerate() {
         let id = format!("t{}", s % 3);
-        let a = single.search_tokens(&id, &q.tokens, 10).unwrap();
+        let a = one_shard.search_tokens(&id, &q.tokens, 10).unwrap();
         let b = sharded.search_tokens(&id, &q.tokens, 10).unwrap();
         assert_eq!(a.hits.len(), b.hits.len(), "query {s}");
         for (x, y) in a.hits.iter().zip(&b.hits) {
@@ -267,7 +269,9 @@ fn sharded_tier_returns_identical_results_and_drains_per_shard() {
         "submissions should spread beyond shard 0"
     );
     let scheduler = CycleScheduler::for_manager(&sharded, 4);
-    let outcomes = scheduler.run(plans);
+    let outcomes = scheduler
+        .try_drain(CycleScheduler::merge(plans))
+        .expect("drain");
     assert_eq!(outcomes.len(), expected, "every submission drained");
     assert!(outcomes
         .windows(2)
@@ -275,8 +279,7 @@ fn sharded_tier_returns_identical_results_and_drains_per_shard() {
     let snapshot = sharded.metrics();
     assert_eq!(snapshot.global.shard_queue_depths, vec![0; 4]);
     // Each touched shard logged only its slice of the trace.
-    let tier = sharded.tier();
-    let engine = tier.as_sharded().unwrap();
+    let engine = sharded.tier();
     let logs = engine.shard_logs();
     assert!(logs.iter().filter(|l| !l.is_empty()).count() > 1);
     for (s, entries) in logs.iter().enumerate() {

@@ -28,11 +28,11 @@ use tsearch_corpus::{
     generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
 };
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine};
+use tsearch_search::{ScoringModel, ShardedEngine};
 use tsearch_text::Analyzer;
 
 struct Stack {
-    engine: Arc<SearchEngine>,
+    engine: Arc<ShardedEngine>,
     model: Arc<LdaModel>,
     queries: Vec<BenchmarkQuery>,
 }
@@ -47,12 +47,13 @@ fn build_stack(seed: u64, num_topics: usize, num_docs: usize) -> Stack {
     });
     let docs = corpus.token_docs();
     let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let engine = Arc::new(SearchEngine::build(
+    let engine = Arc::new(ShardedEngine::build(
         &docs,
         &texts,
         Analyzer::new(),
         corpus.vocab.clone(),
         ScoringModel::TfIdfCosine,
+        1,
     ));
     let model = Arc::new(LdaTrainer::train(
         &docs,
@@ -166,7 +167,7 @@ proptest! {
             }
         }
         let baseline = genuine_hits(
-            &CycleScheduler::for_manager(&clean, 2).run(clean_plans),
+            &CycleScheduler::for_manager(&clean, 2).try_drain(CycleScheduler::merge(clean_plans)).expect("drain"),
         );
 
         let scheduler = CycleScheduler::for_manager(&faulty, 2).with_policy(DrainPolicy {

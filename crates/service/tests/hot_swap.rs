@@ -9,11 +9,12 @@
 //!   swaps reset the trace accounting (the old posteriors are
 //!   meaningless in the new topic space).
 //! - `CycleScheduler` drains surface per-shard worker panics as
-//!   [`DrainError`]s (and `drain` aborts loudly) instead of silently
-//!   dropping outcomes.
+//!   `DrainError`s instead of silently dropping outcomes.
 
 use std::sync::Arc;
-use toppriv_service::{CycleScheduler, SearchTier, SessionManager};
+use toppriv_service::{
+    CycleScheduler, FaultKind, FaultPlane, FaultSpec, SearchTier, SessionManager,
+};
 use tsearch_corpus::{generate_workload, CorpusConfig, SyntheticCorpus, WorkloadConfig};
 use tsearch_lda::{LdaConfig, LdaTrainer};
 use tsearch_search::{ScoringModel, ShardedEngine};
@@ -159,28 +160,26 @@ fn drain_surfaces_worker_panics_instead_of_dropping_outcomes() {
     let poisoned: usize = queue.iter().filter(|p| p.session == "poisoned").count();
     assert!(poisoned > 0);
 
-    let scheduler = CycleScheduler::for_manager(manager, 4)
-        .with_worker_fault(Arc::new(|plan| plan.session == "poisoned"));
+    // A predicate fault fires on every attempt, so retries cannot heal
+    // the poisoned session's submissions.
+    let plane = FaultPlane::new(0).with_spec(FaultSpec::predicate(
+        FaultKind::WorkerPanic,
+        Arc::new(|plan| plan.session == "poisoned"),
+    ));
+    let scheduler = CycleScheduler::for_manager(manager, 4).with_fault_plane(Arc::new(plane));
     let err = scheduler
-        .try_drain(queue.clone())
+        .try_drain(queue)
         .expect_err("poisoned submissions must surface as a drain error");
     assert_eq!(err.failures.len(), poisoned);
+    assert_eq!(err.failed.len(), poisoned);
     assert_eq!(err.completed.len(), expected - poisoned);
     assert_eq!(err.expected, expected);
     assert!(err.failures.iter().all(|f| f.session == "poisoned"));
+    let max_attempts = scheduler.policy().max_attempts;
+    assert!(err.failures.iter().all(|f| f.attempts == max_attempts));
     let msg = err.to_string();
+    assert!(msg.contains("drain lost"), "error explains the loss: {msg}");
     assert!(msg.contains("poisoned"), "error names the session: {msg}");
-
-    // The panicking `drain` front-end aborts loudly with the same story.
-    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scheduler.drain(queue);
-    }))
-    .expect_err("drain must panic when submissions are lost");
-    let text = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(
-        text.contains("drain lost"),
-        "panic explains the loss: {text}"
-    );
 
     // Without the fault the same queue drains completely.
     let clean = CycleScheduler::for_manager(manager, 4);

@@ -18,11 +18,11 @@ use tsearch_corpus::{
     generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
 };
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine};
+use tsearch_search::{ScoringModel, ShardedEngine};
 use tsearch_text::Analyzer;
 
 struct Stack {
-    engine: Arc<SearchEngine>,
+    engine: Arc<ShardedEngine>,
     model: Arc<LdaModel>,
     queries: Vec<BenchmarkQuery>,
 }
@@ -37,12 +37,13 @@ fn build_stack(seed: u64, num_topics: usize, num_docs: usize) -> Stack {
     });
     let docs = corpus.token_docs();
     let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let engine = Arc::new(SearchEngine::build(
+    let engine = Arc::new(ShardedEngine::build(
         &docs,
         &texts,
         Analyzer::new(),
         corpus.vocab.clone(),
         ScoringModel::TfIdfCosine,
+        1,
     ));
     let model = Arc::new(LdaTrainer::train(
         &docs,
@@ -130,7 +131,7 @@ proptest! {
                 plans.push(baseline.plan_cycle(&format!("t{s}"), &q.tokens, 10).unwrap());
             }
         }
-        let base = CycleScheduler::for_manager(&baseline, 2).run(plans);
+        let base = CycleScheduler::for_manager(&baseline, 2).try_drain(CycleScheduler::merge(plans)).expect("drain");
 
         // Planner: identical workload, decoys shared across tenants.
         let planner = GhostPlanner::with_config(planned.clone(), PlannerConfig::default());
@@ -140,7 +141,7 @@ proptest! {
                 planner.plan_cycle(&format!("t{s}"), &q.tokens, 10).unwrap();
             }
         }
-        let shared = CycleScheduler::for_manager(&planned, 2).run(vec![planner.take_queue()]);
+        let shared = CycleScheduler::for_manager(&planned, 2).try_drain(planner.take_queue()).expect("drain");
 
         prop_assert_eq!(genuine_hits(&base), genuine_hits(&shared));
     }

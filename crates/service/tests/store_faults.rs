@@ -17,11 +17,11 @@ use tsearch_corpus::{
     generate_workload, BenchmarkQuery, CorpusConfig, SyntheticCorpus, WorkloadConfig,
 };
 use tsearch_lda::{LdaConfig, LdaModel, LdaTrainer};
-use tsearch_search::{ScoringModel, SearchEngine};
+use tsearch_search::{ScoringModel, ShardedEngine};
 use tsearch_text::Analyzer;
 
 struct Stack {
-    engine: Arc<SearchEngine>,
+    engine: Arc<ShardedEngine>,
     model: Arc<LdaModel>,
     queries: Vec<BenchmarkQuery>,
 }
@@ -38,12 +38,13 @@ fn stack() -> &'static Stack {
         });
         let docs = corpus.token_docs();
         let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-        let engine = Arc::new(SearchEngine::build(
+        let engine = Arc::new(ShardedEngine::build(
             &docs,
             &texts,
             Analyzer::new(),
             corpus.vocab.clone(),
             ScoringModel::TfIdfCosine,
+            1,
         ));
         let model = Arc::new(LdaTrainer::train(
             &docs,

@@ -31,7 +31,7 @@ use toppriv::store::{kind, ArtifactStore};
 use toppriv::text::Analyzer;
 use toppriv::{
     BeliefEngine, CorpusConfig, GhostConfig, GhostGenerator, PrivacyRequirement, ScoringModel,
-    SearchEngine,
+    ShardedEngine,
 };
 
 fn main() {
@@ -182,12 +182,13 @@ fn main() {
     //    the engine and the full model across any number of thin clients;
     //    the result cache absorbs the decoys tenants have in common.
     let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let engine = Arc::new(SearchEngine::build(
+    let engine = Arc::new(ShardedEngine::build(
         &docs,
         &texts,
         Analyzer::new(),
         corpus.vocab.clone(),
         ScoringModel::TfIdfCosine,
+        1,
     ));
     let manager = SessionManager::new(engine, full.clone()).with_cache(1024);
     for tenant in ["thin-a", "thin-b"] {

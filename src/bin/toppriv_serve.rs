@@ -12,6 +12,8 @@
 //!
 //! All modes accept `--shards N` to term-shard the search tier: postings
 //! split across N shards, per-shard scheduler queues and adversary logs.
+//! Protocol `Search` requests take the same path as the demo: every
+//! cycle is planned and drained by the cycle scheduler.
 //! The demo additionally accepts `--planner` to route cycles through the
 //! cross-session ghost planner (decoy reuse + coalesced shared
 //! submissions) and prints the resulting fleet cost ratio.
@@ -26,7 +28,7 @@ use toppriv::service::{
     AuditConfig, CycleScheduler, FaultKind, FaultPlane, FaultSpec, GhostPlanner, SessionConfig,
     SessionManager,
 };
-use toppriv::{CorpusConfig, LdaModel, SearchTier};
+use toppriv::{CorpusConfig, LdaModel, ShardedEngine};
 
 struct Args {
     sessions: usize,
@@ -172,9 +174,9 @@ fn parse_args() -> Result<Args, String> {
 
 /// Builds the shared stack: synthetic corpus, search tier hosting it
 /// (term-sharded when `--shards > 1`), LDA model.
-fn build_stack(args: &Args) -> (SyntheticCorpus, SearchTier, Arc<LdaModel>) {
+fn build_stack(args: &Args) -> (SyntheticCorpus, Arc<ShardedEngine>, Arc<LdaModel>) {
     let t0 = std::time::Instant::now();
-    let (corpus, tier, model) = toppriv::build_demo_stack_sharded(
+    let (corpus, engine, model) = toppriv::build_demo_stack_sharded(
         CorpusConfig {
             num_docs: args.docs,
             num_topics: (args.topics / 2).max(4),
@@ -191,19 +193,19 @@ fn build_stack(args: &Args) -> (SyntheticCorpus, SearchTier, Arc<LdaModel>) {
         corpus.num_docs(),
         corpus.vocab.len(),
         args.topics,
-        tier.num_shards(),
+        engine.num_shards(),
     );
-    (corpus, tier, model)
+    (corpus, engine, model)
 }
 
-fn build_manager(args: &Args, tier: SearchTier, model: Arc<LdaModel>) -> SessionManager {
+fn build_manager(args: &Args, engine: Arc<ShardedEngine>, model: Arc<LdaModel>) -> SessionManager {
     // Bind the service metrics to the process-global registry so the
     // engine-layer histograms (scatter/gather, pacing) and the service
     // counters surface through one exposition endpoint. The audit plane
     // is always attached (after the registry, so its gauges land there
     // too): it serves the `Health` / `AuditTail` protocol ops and the
     // `--audit-interval` health line.
-    let mut manager = SessionManager::with_tier(tier, model)
+    let mut manager = SessionManager::new(engine, model)
         .with_defaults(SessionConfig::default())
         .with_metrics_registry(toppriv::obs::global().clone())
         .with_auditor(AuditConfig::default());
@@ -318,8 +320,8 @@ fn emit_metrics_ndjson(to_stdout: bool) {
 }
 
 fn run_demo(args: &Args) {
-    let (corpus, tier, model) = build_stack(args);
-    let manager = Arc::new(build_manager(args, tier, model));
+    let (corpus, engine, model) = build_stack(args);
+    let manager = Arc::new(build_manager(args, engine, model));
 
     // Tenants share a realistic workload: each session draws its queries
     // from a common pool (overlap across tenants is what a shared search
@@ -398,7 +400,7 @@ fn run_demo(args: &Args) {
         }
         report.outcomes
     } else {
-        scheduler.drain(queue)
+        scheduler.try_drain(queue).expect("fault-free drain")
     };
     let wall = t0.elapsed().as_secs_f64();
 
@@ -447,15 +449,13 @@ fn run_demo(args: &Args) {
         snapshot.global.p99_submit_us,
         snapshot.global.max_queue_depth,
     );
-    let tier = manager.tier();
-    if let Some(engine) = tier.as_sharded() {
-        let log_sizes: Vec<usize> = engine.shard_logs().iter().map(|l| l.len()).collect();
-        println!(
-            "    {} shards drained independently; per-shard adversary log entries: {:?}",
-            engine.num_shards(),
-            log_sizes,
-        );
-    }
+    let engine = manager.tier();
+    let log_sizes: Vec<usize> = engine.shard_logs().iter().map(|l| l.len()).collect();
+    println!(
+        "    {} shard(s) drained independently; per-shard adversary log entries: {:?}",
+        engine.num_shards(),
+        log_sizes,
+    );
     println!("\n    per-session privacy (first 12 shown):");
     println!(
         "    {:<12} {:>7} {:>8} {:>10} {:>10} {:>10} {:>10}",
@@ -506,12 +506,11 @@ fn main() {
         run_demo(&args);
         return;
     }
-    let (_corpus, tier, model) = build_stack(&args);
-    // Long-running server modes: bound the demo-oriented adversary
-    // log(s) — each shard's, when sharded — so they cannot grow without
-    // limit.
-    tier.set_query_log_capacity(100_000);
-    let manager = Arc::new(build_manager(&args, tier, model));
+    let (_corpus, engine, model) = build_stack(&args);
+    // Long-running server modes: bound each shard's demo-oriented
+    // adversary log so it cannot grow without limit.
+    engine.set_query_log_capacity(100_000);
+    let manager = Arc::new(build_manager(&args, engine, model));
     // Server modes keep stdout for the NDJSON protocol; the periodic
     // registry dump goes to stderr.
     let _emitter = args

@@ -3,8 +3,9 @@
 //! Facade crate for the TopPriv reproduction and its production service
 //! layer. Re-exports every subsystem under a stable module path and
 //! provides [`build_demo_stack`] — the three-piece demo stack (corpus,
-//! engine, shared LDA model) that the examples and the `toppriv-serve`
-//! demo mode are built on.
+//! engine, shared LDA model) that the examples are built on — and
+//! [`build_demo_stack_sharded`], its term-sharded service variant that
+//! `toppriv-serve` runs on.
 //!
 //! Layering (each layer only depends on the ones above it):
 //!
@@ -40,57 +41,62 @@ pub use tsearch_search::{ScoringModel, SearchEngine, ShardedEngine};
 
 use std::sync::Arc;
 use tsearch_lda::{LdaConfig, LdaTrainer};
-use tsearch_text::Analyzer;
+use tsearch_text::{Analyzer, TermId};
 
 /// Builds the demo stack: a synthetic corpus, a search engine hosting it,
 /// and an LDA model trained on it (wrapped in an [`Arc`] so any number of
-/// belief engines, clients, and service sessions can share it).
+/// belief engines, clients, and service sessions can share it). This is
+/// the paper client's stack; the service runs on
+/// [`build_demo_stack_sharded`].
 pub fn build_demo_stack(
     config: CorpusConfig,
     topics: usize,
     iterations: usize,
 ) -> (SyntheticCorpus, SearchEngine, Arc<LdaModel>) {
-    let (corpus, tier, model) = build_demo_stack_sharded(config, topics, iterations, 1);
-    let engine = match tier {
-        SearchTier::Single(engine) => {
-            Arc::try_unwrap(engine).unwrap_or_else(|_| unreachable!("freshly built, sole Arc"))
-        }
-        SearchTier::Sharded(_) => unreachable!("shards = 1 always builds a single tier"),
-    };
-    (corpus, engine, model)
+    build_with_engine(config, topics, iterations, |docs, texts, corpus| {
+        SearchEngine::build(
+            docs,
+            texts,
+            Analyzer::new(),
+            corpus.vocab.clone(),
+            ScoringModel::TfIdfCosine,
+        )
+    })
 }
 
-/// Variant of [`build_demo_stack`] whose search tier is term-sharded:
-/// returns a [`SearchTier::Sharded`] over `shards` index shards when
-/// `shards > 1`, else a [`SearchTier::Single`] (the two are
-/// result-identical; sharding only changes how the service scales).
+/// The service variant of [`build_demo_stack`]: the same corpus and
+/// model, hosted by a term-sharded engine over `shards` index shards
+/// (at least 1). One shard ranks identically to [`build_demo_stack`]'s
+/// [`SearchEngine`]; more shards only change how the service scales.
 pub fn build_demo_stack_sharded(
     config: CorpusConfig,
     topics: usize,
     iterations: usize,
     shards: usize,
-) -> (SyntheticCorpus, SearchTier, Arc<LdaModel>) {
+) -> (SyntheticCorpus, Arc<ShardedEngine>, Arc<LdaModel>) {
+    build_with_engine(config, topics, iterations, |docs, texts, corpus| {
+        Arc::new(ShardedEngine::build(
+            docs,
+            texts,
+            Analyzer::new(),
+            corpus.vocab.clone(),
+            ScoringModel::TfIdfCosine,
+            shards.max(1),
+        ))
+    })
+}
+
+/// Generates the corpus, hosts it with `engine`, and trains the model.
+fn build_with_engine<E>(
+    config: CorpusConfig,
+    topics: usize,
+    iterations: usize,
+    engine: impl FnOnce(&[&[TermId]], &[String], &SyntheticCorpus) -> E,
+) -> (SyntheticCorpus, E, Arc<LdaModel>) {
     let corpus = SyntheticCorpus::generate(config);
     let docs = corpus.token_docs();
     let texts: Vec<String> = corpus.docs.iter().map(|d| d.text.clone()).collect();
-    let tier = if shards > 1 {
-        SearchTier::Sharded(Arc::new(ShardedEngine::build(
-            &docs,
-            &texts,
-            Analyzer::new(),
-            corpus.vocab.clone(),
-            ScoringModel::TfIdfCosine,
-            shards,
-        )))
-    } else {
-        SearchTier::Single(Arc::new(SearchEngine::build(
-            &docs,
-            &texts,
-            Analyzer::new(),
-            corpus.vocab.clone(),
-            ScoringModel::TfIdfCosine,
-        )))
-    };
+    let engine = engine(&docs, &texts, &corpus);
     let model = Arc::new(LdaTrainer::train(
         &docs,
         corpus.vocab.len(),
@@ -99,5 +105,5 @@ pub fn build_demo_stack_sharded(
             ..LdaConfig::with_topics(topics)
         },
     ));
-    (corpus, tier, model)
+    (corpus, engine, model)
 }
